@@ -38,7 +38,8 @@ object ApproxDBSCAN {
       rho: Double,
       precomputed: Option[(GonzalezResult, Long)] = None
   ): Output = {
-    require(eps > 0 && minPts >= 1 && rho > 0)
+    require(eps > 0 && minPts >= 1, s"need eps > 0 and minPts ≥ 1, got eps=$eps minPts=$minPts")
+    require(rho > 0 && rho <= 2, s"rho=$rho must lie in (0, 2] (Lemma 8 needs r̄ = ρε/2 ≤ ε)")
     val rBar = rho * eps / 2.0
     val n    = points.length
 
@@ -55,21 +56,23 @@ object ApproxDBSCAN {
     val t1 = System.nanoTime()
     val A  = Gonzalez.neighborSets(points, metric, g, 4 * rBar + eps)
 
-    /** |B(points(p), ε) ∩ X| restricted (safely, per Lemma 2) to A_e's region. */
-    def neighborCount(p: Int, e: Int): Int = {
+    /** |B(points(p), ε) ∩ X| ≥ MinPts, counted (safely, per Lemma 2) inside
+      * A_e's region and stopped as soon as MinPts neighbors are found.
+      */
+    def isCore(p: Int, e: Int): Boolean = {
       val pp  = points(p)
       var cnt = 0
       var a   = 0
-      while (a < A(e).length) {
+      while (a < A(e).length && cnt < minPts) {
         val cn = g.coverSets(A(e)(a))
         var j  = 0
-        while (j < cn.length) {
-          if (metric.dist(pp, points(cn(j))) <= eps) cnt += 1
+        while (j < cn.length && cnt < minPts) {
+          if (metric.distWithin(pp, points(cn(j)), eps) <= eps) cnt += 1
           j += 1
         }
         a += 1
       }
-      cnt
+      cnt >= minPts
     }
 
     val isCenterCore = new Array[Boolean](k)
@@ -80,14 +83,14 @@ object ApproxDBSCAN {
       // |C_e| ≥ MinPts ⇒ e is core without any distance evaluation
       // (C_e ⊆ B(e, r̄) ⊆ B(e, ε) since r̄ = ρε/2 ≤ ε for ρ ≤ 2).
       isCenterCore(e) =
-        g.coverSets(e).length >= minPts || neighborCount(cIdx, e) >= minPts
+        g.coverSets(e).length >= minPts || isCore(cIdx, e)
       if (isCenterCore(e)) summary += cIdx
       else {
         val ce = g.coverSets(e)
         var i  = 0
         while (i < ce.length) {
           val p = ce(i)
-          if (p != cIdx && neighborCount(p, e) >= minPts) summary += p
+          if (p != cIdx && isCore(p, e)) summary += p
           i += 1
         }
       }
@@ -119,7 +122,7 @@ object ApproxDBSCAN {
         while (lst.nonEmpty) {
           val sj = lst.head
           if (sj > si && !uf.connected(si, sj) &&
-              metric.dist(points(s), points(sStar(sj))) <= mergeEps) uf.union(si, sj)
+              metric.distWithin(points(s), points(sStar(sj)), mergeEps) <= mergeEps) uf.union(si, sj)
           lst = lst.tail
         }
         a += 1
@@ -164,7 +167,7 @@ object ApproxDBSCAN {
             var lst = summaryByBall(A(e0)(a))
             while (lst.nonEmpty && found < 0) {
               val sj = lst.head
-              if (metric.dist(pp, points(sStar(sj))) <= assignEps) found = sj
+              if (metric.distWithin(pp, points(sStar(sj)), assignEps) <= assignEps) found = sj
               lst = lst.tail
             }
             a += 1

@@ -9,7 +9,7 @@ import scala.collection.mutable
   *   - *covering*: every child of a node at level i is within 2^i of it;
   *   - *descendant radius*: any descendant of a node at level i is within
   *     Σ_{j ≤ i} 2^j = 2^(i+1) of it — this is the branch-and-bound pruning
-  *     radius used by [[nearest]].
+  *     radius used by [[nearestWithin]].
   *
   * Exact duplicates are folded into a node multiplicity so insertion always
   * terminates. The paper uses the cover tree only for the BCP sub-problems in
@@ -29,9 +29,15 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
   def size: Int = count
   def isEmpty: Boolean = count == 0
 
-  /** Level such that 2^level ≥ d (d > 0). */
-  private def levelFor(d: Double): Int =
-    math.max(-60, math.min(62, math.ceil(math.log(d) / math.log(2.0)).toInt))
+  /** Least level such that 2^level ≥ d (d > 0), clamped to [-60, 62]. */
+  private def levelFor(d: Double): Int = {
+    var l = math.max(-60, math.min(62, math.ceil(math.log(d) / math.log(2.0)).toInt))
+    while (l < 62 && radius(l) < d) l += 1 // the logarithm may round low
+    l
+  }
+
+  /** 2^level, exactly. */
+  private def radius(level: Int): Double = java.lang.Math.scalb(1.0, level)
 
   /** Insert `point` with caller id `idx`. */
   def insert(point: T, idx: Int): Unit = {
@@ -39,8 +45,10 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
     if (root == null) { root = new Node(point, idx, -60); return }
     val dRoot = metric.dist(point, root.point)
     if (dRoot == 0.0) { root.duplicates ::= idx; return }
-    // Raise the root level until the new point fits under it.
-    if (dRoot > math.pow(2.0, root.level)) root.level = levelFor(dRoot)
+    // Raise the root level until the new point fits under it. The root's old
+    // children keep their levels, so a child's own level (not the parent's)
+    // decides what it can cover.
+    if (dRoot > radius(root.level)) root.level = levelFor(dRoot)
     insertRec(root, point, idx, dRoot)
   }
 
@@ -48,15 +56,15 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
   @annotation.tailrec
   private def insertRec(q: Node, p: T, idx: Int, dq: Double): Unit = {
     if (dq == 0.0) { q.duplicates ::= idx; return }
-    val childRadius = math.pow(2.0, q.level - 1)
-    // Descend into a child that can cover p, if any.
+    // Descend into the closest child that can cover p, if any.
     var it    = q.children
     var best: Node = null
     var bestD = Double.PositiveInfinity
     while (it.nonEmpty) {
       val c = it.head
-      val d = metric.dist(p, c.point)
-      if (d <= childRadius && d < bestD) { best = c; bestD = d }
+      val r = radius(c.level)
+      val d = metric.distWithin(p, c.point, r)
+      if (d <= r && d < bestD) { best = c; bestD = d }
       it = it.tail
     }
     if (best != null) insertRec(best, p, idx, bestD)
@@ -66,56 +74,35 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
     }
   }
 
-  /** Nearest neighbor of `query`: (carrier id, distance). Best-first search
-    * with the 2^(level+1) descendant-radius bound; exact.
-    */
-  def nearest(query: T): (Int, Double) = {
-    require(root != null, "nearest() on empty cover tree")
-    var bestIdx  = root.idx
-    var bestDist = metric.dist(query, root.point)
-    // Min-heap on optimistic bound d(query, node) - 2^(node.level+1).
-    implicit val ord: Ordering[(Double, Double, Node)] = Ordering.by(-_._1)
-    val pq = mutable.PriorityQueue.empty[(Double, Double, Node)]
-    def bound(d: Double, n: Node): Double = d - math.pow(2.0, n.level + 1)
-    pq.enqueue((bound(bestDist, root), bestDist, root))
-    while (pq.nonEmpty) {
-      val (b, d, node) = pq.dequeue()
-      if (b >= bestDist) return (bestIdx, bestDist) // heap is bound-sorted: done
-      if (d < bestDist) { bestDist = d; bestIdx = node.idx }
-      var it = node.children
-      while (it.nonEmpty) {
-        val c  = it.head
-        val dc = metric.dist(query, c.point)
-        if (dc < bestDist) { bestDist = dc; bestIdx = c.idx }
-        val bc = bound(dc, c)
-        if (bc < bestDist) pq.enqueue((bc, dc, c))
-        it = it.tail
-      }
-    }
-    (bestIdx, bestDist)
-  }
+  /** Nearest neighbor of `query`: (carrier id, distance); exact. */
+  def nearest(query: T): (Int, Double) = nearestWithin(query, Double.PositiveInfinity)
 
   /** Nearest neighbor with early abandoning: exact result if the true NN
     * distance ≤ cutoff, otherwise may return any (idx, d) with d > cutoff.
+    * Best-first search with the 2^(level+1) descendant-radius bound; a node
+    * whose distance exceeds min(best, cutoff) + 2^(level+1) cannot hold an
+    * answer, so each node's distance is evaluated only up to that bound.
     * Used by the BCP merge step where only distances ≤ ε matter.
     */
   def nearestWithin(query: T, cutoff: Double): (Int, Double) = {
     require(root != null, "nearestWithin() on empty cover tree")
+    def within(n: Node, target: Double): Double =
+      metric.distWithin(query, n.point, target + radius(n.level + 1))
     var bestIdx  = root.idx
-    var bestDist = metric.dist(query, root.point)
+    var bestDist = within(root, cutoff)
+    // Min-heap on optimistic bound d(query, node) - 2^(node.level+1).
     implicit val ord: Ordering[(Double, Double, Node)] = Ordering.by(-_._1)
     val pq = mutable.PriorityQueue.empty[(Double, Double, Node)]
-    def bound(d: Double, n: Node): Double = d - math.pow(2.0, n.level + 1)
+    def bound(d: Double, n: Node): Double = d - radius(n.level + 1)
     pq.enqueue((bound(bestDist, root), bestDist, root))
     while (pq.nonEmpty) {
       val (b, d, node) = pq.dequeue()
-      val target = math.min(bestDist, cutoff)
-      if (b >= target) return (bestIdx, bestDist)
+      if (b >= math.min(bestDist, cutoff)) return (bestIdx, bestDist) // heap is bound-sorted: done
       if (d < bestDist) { bestDist = d; bestIdx = node.idx }
       var it = node.children
       while (it.nonEmpty) {
         val c  = it.head
-        val dc = metric.dist(query, c.point)
+        val dc = within(c, math.min(bestDist, cutoff))
         if (dc < bestDist) { bestDist = dc; bestIdx = c.idx }
         val bc = bound(dc, c)
         if (bc < math.min(bestDist, cutoff)) pq.enqueue((bc, dc, c))

@@ -57,6 +57,10 @@ object Gonzalez {
     val assignment = new Array[Int](n)
     val dists      = Array.fill(n)(Double.PositiveInfinity)
     val centers    = ArrayBuffer.empty[Int]
+    // Per center position f (|E| ≤ n): maxd(f) = max dists over C_f after the
+    // last scan, and cc(f) = dis(new center, f) bounded at 2·maxd(f).
+    val maxd = new Array[Double](n)
+    val cc   = new Array[Double](n)
 
     var next = seedIdx
     var dmax = Double.PositiveInfinity
@@ -64,14 +68,30 @@ object Gonzalez {
       val e   = centers.length
       val c   = points(next)
       centers += next
-      // Relax every point against the newly added center; track the new argmax.
+      // A point p of C_f can only move to c if dis(c, f) < 2·dis(p, f)
+      // (triangle inequality), so one bounded evaluation per center rules
+      // out whole cover sets; a set whose points all sit on f needs none.
+      var f = 0
+      while (f < e) {
+        cc(f) = if (maxd(f) > 0) metric.distWithin(c, points(centers(f)), 2 * maxd(f))
+                else Double.PositiveInfinity
+        maxd(f) = 0.0
+        f += 1
+      }
+      maxd(e) = 0.0
+      // Relax every point against the newly added center; track the new argmax
+      // (strict >, so the lowest index wins ties) and each set's new maxd.
       var i       = 0
       var newMax  = 0.0
       var newNext = -1
       while (i < n) {
-        val d = metric.dist(points(i), c)
-        if (d < dists(i)) { dists(i) = d; assignment(i) = e }
-        if (dists(i) > newMax) { newMax = dists(i); newNext = i }
+        if (e == 0 || cc(assignment(i)) < 2 * dists(i)) {
+          val d = metric.distWithin(points(i), c, dists(i))
+          if (d < dists(i)) { dists(i) = d; assignment(i) = e }
+        }
+        val di = dists(i)
+        if (di > maxd(assignment(i))) maxd(assignment(i)) = di
+        if (di > newMax) { newMax = di; newNext = i }
         i += 1
       }
       dmax = newMax
@@ -104,7 +124,7 @@ object Gonzalez {
       out(i) += i
       var j = i + 1
       while (j < k) {
-        if (metric.dist(cs(i), cs(j)) <= threshold) { out(i) += j; out(j) += i }
+        if (metric.distWithin(cs(i), cs(j), threshold) <= threshold) { out(i) += j; out(j) += i }
         j += 1
       }
       i += 1

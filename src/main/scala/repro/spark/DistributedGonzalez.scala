@@ -61,7 +61,7 @@ object DistributedGonzalez {
         val bc  = sc.broadcast(far.point)
         val old = state
         state = state.map { a =>
-          val d = metric.dist(a.point, bc.value)
+          val d = metric.distWithin(a.point, bc.value, a.dist)
           if (d < a.dist) Assigned(a.point, a.id, newIdx, d) else a
         }.persist(StorageLevel.MEMORY_AND_DISK)
         rounds += 1
@@ -86,7 +86,7 @@ object DistributedGonzalez {
       .mapPartitions { it =>
         val net = scala.collection.mutable.ArrayBuffer.empty[T]
         it.foreach { case (_, p) =>
-          if (!net.exists(c => metric.dist(p, c) <= half)) net += p
+          if (!net.exists(c => metric.distWithin(p, c, half) <= half)) net += p
         }
         net.iterator
       }
@@ -94,7 +94,7 @@ object DistributedGonzalez {
     // Round 2: sequential re-net of the (small) union at r̄/2.
     val centers = scala.collection.mutable.ArrayBuffer.empty[T]
     localNets.foreach { p =>
-      if (!centers.exists(c => metric.dist(p, c) <= half)) centers += p
+      if (!centers.exists(c => metric.distWithin(p, c, half) <= half)) centers += p
     }
     val bc = data.sparkContext.broadcast(centers.toIndexedSeq)
     val assigned = data.map { case (id, p) =>
@@ -103,7 +103,7 @@ object DistributedGonzalez {
       val cs   = bc.value
       var i    = 0
       while (i < cs.length) {
-        val d = metric.dist(p, cs(i))
+        val d = metric.distWithin(p, cs(i), best)
         if (d < best) { best = d; bi = i }
         i += 1
       }

@@ -117,4 +117,10 @@ class ApproxDBSCANSpec extends AnyFunSuite {
     val b    = ApproxDBSCAN.run(pts, EuclideanMetric, eps, 5, rho, precomputed = Some((g, 0L)))
     assert(a.result.labels.sameElements(b.result.labels))
   }
+
+  test("rho outside (0, 2] is rejected") {
+    val pts = blobs(50, 2, 2, seed = 82)
+    for (rho <- Seq(0.0, 3.0))
+      intercept[IllegalArgumentException](ApproxDBSCAN.run(pts, EuclideanMetric, 1.0, 5, rho))
+  }
 }

@@ -123,4 +123,27 @@ class CoverTreeSpec extends AnyFunSuite {
     val t = new CoverTree[Vec](EuclideanMetric)
     intercept[IllegalArgumentException](t.nearest(Array(0.0)))
   }
+
+  test("queries stay exact when the root level rises many times") {
+    // Inserted in order of growing norm, so nearly every insert raises the
+    // root's level above its old children's.
+    val rnd = new Random(42)
+    val pts = IndexedSeq.tabulate(600) { i =>
+      val r = 0.01 * math.pow(1.02, i) * (0.5 + rnd.nextDouble())
+      val t = rnd.nextDouble() * 2 * math.Pi
+      Array(r * math.cos(t), r * math.sin(t))
+    }
+    val tree = CoverTree.build(pts, pts.indices, EuclideanMetric)
+    for (_ <- 0 until 400) {
+      val s  = math.pow(10, rnd.nextDouble() * 4 - 2)
+      val q  = Array(rnd.nextGaussian() * s, rnd.nextGaussian() * s)
+      val bd = bruteNN(pts, pts.indices, q)
+      val (idx, d) = tree.nearest(q)
+      assert(d == bd, s"nearest: got $d want $bd")
+      assert(EuclideanMetric.dist(pts(idx), q) == d)
+      val (_, dw) = tree.nearestWithin(q, bd * 1.5)
+      assert(dw == bd, s"nearestWithin above the NN distance: got $dw want $bd")
+      assert(tree.nearestWithin(q, bd * 0.5)._2 > bd * 0.5)
+    }
+  }
 }

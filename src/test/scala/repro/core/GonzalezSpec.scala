@@ -118,4 +118,72 @@ class GonzalezSpec extends AnyFunSuite {
     assert(g1.centerIdx == g2.centerIdx)
     assert(g1.assignment.sameElements(g2.assignment))
   }
+
+  /** Algorithm 1 as plainly as it reads: full distances, no pruning. */
+  private def unpruned[T](points: IndexedSeq[T], metric: Metric[T], rBar: Double)
+      : (IndexedSeq[Int], IndexedSeq[Int], IndexedSeq[Double]) = {
+    val n          = points.length
+    val assignment = Array.fill(n)(0)
+    val dists      = Array.fill(n)(Double.PositiveInfinity)
+    val centers    = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var next       = 0
+    while (next >= 0 && (centers.isEmpty || dists(next) > rBar)) {
+      val e = centers.length
+      centers += next
+      for (i <- 0 until n) {
+        val d = metric.dist(points(i), points(next))
+        if (d < dists(i)) { dists(i) = d; assignment(i) = e }
+      }
+      // Farthest point, lowest index on ties; -1 once every point is a center.
+      next = -1
+      var far = 0.0
+      for (i <- 0 until n) if (dists(i) > far) { far = dists(i); next = i }
+    }
+    (centers.toIndexedSeq, assignment.toIndexedSeq, dists.toIndexedSeq)
+  }
+
+  private def assertSameNet[T](points: IndexedSeq[T], metric: Metric[T], rBar: Double): Unit = {
+    val g                   = Gonzalez.run(points, metric, rBar)
+    val (cs, assign, dists) = unpruned(points, metric, rBar)
+    assert(g.centerIdx == cs, s"centers differ at r̄=$rBar")
+    assert(g.assignment.toIndexedSeq == assign, s"assignment differs at r̄=$rBar")
+    assert(g.distToCenter.toIndexedSeq == dists, s"distToCenter differs at r̄=$rBar")
+    assert(g.coverSets.map(_.toSeq) == cs.indices.map(e => points.indices.filter(assign(_) == e)))
+  }
+
+  test("pruned run builds the same net as the unpruned loop: blobs and uniform data") {
+    val bl = blobs(400, 3, 5, outliers = 20, seed = 23)
+    Seq(0.3, 1.0, 3.0, 12.0).foreach(assertSameNet(bl, EuclideanMetric, _))
+    val un = uniform(400, 12, seed = 24)
+    Seq(1.0, 3.0, 8.0).foreach(assertSameNet(un, EuclideanMetric, _))
+  }
+
+  test("pruned run builds the same net as the unpruned loop: duplicates and a lattice") {
+    val rnd  = new Random(25)
+    val base = IndexedSeq.fill(12)(Array(rnd.nextInt(5).toDouble, rnd.nextInt(5).toDouble))
+    val dups = IndexedSeq.fill(300)(base(rnd.nextInt(base.length)).clone())
+    Seq(0.5, 1.0, 2.0).foreach(assertSameNet(dups, EuclideanMetric, _))
+    // Integer lattice: many exact ties in distances and in the argmax.
+    val grid = for (x <- 0 until 15; y <- 0 until 15) yield Array(x.toDouble, y.toDouble)
+    Seq(1.0, 1.5, 2.0, 4.0).foreach(assertSameNet(grid, EuclideanMetric, _))
+  }
+
+  test("pruned run builds the same net as the unpruned loop: edit distance") {
+    val rnd  = new Random(26)
+    val base = IndexedSeq.fill(6)(Iterator.fill(12)(('a' + rnd.nextInt(4)).toChar).mkString)
+    val strs = IndexedSeq.fill(200) {
+      val s = new StringBuilder(base(rnd.nextInt(base.length)))
+      for (_ <- 0 until rnd.nextInt(6)) {
+        val at = rnd.nextInt(s.length + 1)
+        rnd.nextInt(3) match {
+          case 0 if s.nonEmpty && at < s.length => s.deleteCharAt(at)
+          case 1 => s.insert(at, ('a' + rnd.nextInt(4)).toChar)
+          case _ if at < s.length => s.setCharAt(at, ('a' + rnd.nextInt(4)).toChar)
+          case _ => s.append('d')
+        }
+      }
+      s.toString
+    }
+    Seq(1.0, 2.0, 3.0, 5.0, 8.0).foreach(assertSameNet(strs, EditDistanceMetric, _))
+  }
 }

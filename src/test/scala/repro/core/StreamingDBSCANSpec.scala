@@ -102,4 +102,9 @@ class StreamingDBSCANSpec extends AnyFunSuite {
     val (labels, _) = StreamingDBSCAN.runBatch(pts, EuclideanMetric, 1.0, 1, 0.5)
     assert(labels.forall(_ >= 0))
   }
+
+  test("rho outside (0, 2] is rejected") {
+    for (rho <- Seq(0.0, 3.0))
+      intercept[IllegalArgumentException](new StreamingDBSCAN[Vec](EuclideanMetric, 1.0, 5, rho))
+  }
 }
